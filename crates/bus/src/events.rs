@@ -5,9 +5,9 @@
 //! [`subscribe_filtered`](crate::Topic::subscribe_filtered). The
 //! variants mirror the dataflow of the paper's workflow: trainers emit
 //! per-epoch fitness upstream, the prediction engine answers with
-//! verdicts, and the lineage recorder consumes everything.
-
-use a4nn_genome::Genome;
+//! verdicts, and the run-stats aggregator counts everything. Record
+//! trails do not ride the bus: the evaluation pipeline assembles them
+//! from the trainers' outcomes.
 
 /// A trainer finished one epoch of one model (Algorithm 1's per-epoch
 /// fitness hand-off to the engine).
@@ -61,38 +61,14 @@ pub struct TerminationAdvised {
     pub fitness: f64,
 }
 
-/// A model's training finished (to completion or early) and its record
-/// trail can be closed.
+/// A model's training finished (to completion, early, or failed); the
+/// run-stats aggregator counts these.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModelCompleted {
     /// Model id.
     pub model_id: u64,
     /// Generation the model belongs to.
     pub generation: usize,
-    /// The genome that was trained.
-    pub genome: Genome,
-    /// Human-readable architecture summary.
-    pub arch_summary: String,
-    /// Estimated forward FLOPs.
-    pub flops: f64,
-    /// Names of the objective set the run searches under, in objective
-    /// order. Empty when published by a pre-registry producer.
-    pub objective_names: Vec<String>,
-    /// The minimized objective values, aligned with `objective_names`.
-    pub objective_values: Vec<f64>,
-    /// Fitness the NAS will use for selection.
-    pub final_fitness: f64,
-    /// The engine's converged prediction, if training stopped early.
-    pub predicted_fitness: Option<f64>,
-    /// Whether training was terminated early.
-    pub terminated_early: bool,
-    /// Whether the model exhausted its retry budget; the record trail
-    /// carries whatever partial history the final attempt produced.
-    pub failed: bool,
-    /// Training attempts consumed (1 = no retries).
-    pub attempts: u32,
-    /// Total training seconds for this model.
-    pub train_seconds: f64,
 }
 
 /// One training attempt of one model died (a trainer panic was caught

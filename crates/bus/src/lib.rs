@@ -1,10 +1,10 @@
 //! # a4nn-bus — in-situ event bus and streaming services
 //!
-//! The paper's workflow couples its tasks — concurrent trainers, the
-//! PENGUIN prediction engine, and the lineage/data-commons recorder —
-//! in situ, over memory instead of the filesystem (§2.2, built on
-//! Wilkins/LowFive in the reference implementation). This crate is
-//! that coupling layer as an explicit subsystem:
+//! The paper's workflow couples its tasks — concurrent trainers and the
+//! PENGUIN prediction engine — in situ, over memory instead of the
+//! filesystem (§2.2, built on Wilkins/LowFive in the reference
+//! implementation). This crate is that coupling layer as an explicit
+//! subsystem:
 //!
 //! - [`topic`] — a typed MPMC publish–subscribe [`Topic`] over bounded
 //!   per-subscriber queues with selectable backpressure ([`Policy`]:
@@ -15,15 +15,18 @@
 //!   per-epoch fitness, engine verdicts, termination advice, model
 //!   completions, and GPU schedules;
 //! - [`services`] — the streaming services: [`PredictionEngineService`]
-//!   (per-model PENGUIN engines answering epochs with verdicts),
-//!   [`LineageRecorderService`] (folds the stream into the same record
-//!   trails the direct call path produces), and [`RunStatsAggregator`]
-//!   (run-level counters and per-GPU utilization).
+//!   (per-model PENGUIN engines answering epochs with verdicts) and
+//!   [`RunStatsAggregator`] (run-level counters and per-GPU
+//!   utilization).
+//!
+//! The bus carries engine verdicts and run stats only. Record trails
+//! are assembled by the evaluation pipeline in `a4nn-core` from the
+//! trainers' outcomes, the same way on every transport.
 //!
 //! Determinism contract: driving a search through the bus produces
-//! record trails identical to the direct in-process call path, because
-//! engine state is per-model, verdicts are joined back by
-//! `(model_id, epoch)`, and the recorder orders records by model id.
+//! verdicts identical to the direct in-process call path, because
+//! engine state is per-model and verdicts are joined back by
+//! `(model_id, epoch)`.
 
 #![warn(clippy::redundant_clone)]
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
@@ -36,8 +39,8 @@ pub use events::{
     TerminationAdvised, TrainingFailed,
 };
 pub use services::{
-    BusRunStats, EngineFaultHook, LineageRecorderService, PredictionEngineService,
-    RunStatsAggregator, ENGINE_INBOX_CAPACITY,
+    BusRunStats, EngineFaultHook, PredictionEngineService, RunStatsAggregator,
+    ENGINE_INBOX_CAPACITY,
 };
 pub use topic::{
     Policy, PublishError, RecvError, SubscriberStats, Subscription, Topic, TryRecvError,

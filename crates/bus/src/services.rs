@@ -3,16 +3,14 @@
 //! Each service is one thread with its own filtered subscription,
 //! mirroring a Wilkins-style task wired to the workflow through
 //! communicators (§2.2): the [`PredictionEngineService`] answers
-//! per-epoch fitness with verdicts, the [`LineageRecorderService`]
-//! folds the event stream into record trails for the data commons, and
-//! the [`RunStatsAggregator`] keeps run-level counters.
+//! per-epoch fitness with verdicts and the [`RunStatsAggregator`] keeps
+//! run-level counters.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::JoinHandle;
 
 use a4nn_error::A4nnError;
-use a4nn_lineage::{EngineParamsRecord, EpochRecord, ModelRecord, Terminated};
 use a4nn_penguin::{EngineConfig, EngineStats, PredictionEngine};
 
 use crate::events::{EngineVerdict, Event, TerminationAdvised};
@@ -196,114 +194,6 @@ fn accumulate(totals: &mut EngineStats, stats: EngineStats) {
     totals.total_seconds += stats.total_seconds;
 }
 
-/// Streams record trails into the data commons.
-///
-/// Buffers every event until the topic closes, then folds them into
-/// one [`ModelRecord`] per model — identical to what the direct path's
-/// batch evaluator constructs, so the bus orchestration reproduces the
-/// direct record trails byte for byte.
-pub struct LineageRecorderService {
-    handle: JoinHandle<Vec<ModelRecord>>,
-}
-
-impl LineageRecorderService {
-    /// Spawn the recorder. `engine` and `beam` are run-level metadata
-    /// stamped onto every record (engine parameters are per-run, not
-    /// per-event).
-    pub fn spawn(topic: &Topic<Event>, engine: Option<EngineParamsRecord>, beam: String) -> Self {
-        // Unbounded: the audit stream must be lossless and must never
-        // apply backpressure to trainers.
-        let inbox = topic.subscribe(Policy::Unbounded);
-        let handle = std::thread::spawn(move || {
-            let mut epochs: BTreeMap<u64, Vec<EpochRecord>> = BTreeMap::new();
-            let mut predictions: HashMap<(u64, u32), Option<f64>> = HashMap::new();
-            let mut gpus: HashMap<u64, usize> = HashMap::new();
-            let mut completed: BTreeMap<u64, crate::events::ModelCompleted> = BTreeMap::new();
-            while let Ok(event) = inbox.recv() {
-                match event {
-                    Event::EpochCompleted(e) => {
-                        epochs.entry(e.model_id).or_default().push(EpochRecord {
-                            epoch: e.epoch,
-                            train_acc: e.train_acc,
-                            val_acc: e.val_acc,
-                            duration_s: e.duration_s,
-                            prediction: None,
-                        });
-                    }
-                    Event::EngineVerdict(v) => {
-                        predictions.insert((v.model_id, v.epoch), v.prediction);
-                    }
-                    Event::ModelCompleted(m) => {
-                        completed.insert(m.model_id, m);
-                    }
-                    Event::TrainingFailed(f) => {
-                        if f.will_retry {
-                            // The retry replays from epoch 1; drop the
-                            // dead attempt's partial trail so the record
-                            // holds only the surviving attempt's epochs.
-                            epochs.remove(&f.model_id);
-                            predictions.retain(|(model, _), _| *model != f.model_id);
-                        }
-                        // No retry left: keep the partial trail — the
-                        // Failed record carries it.
-                    }
-                    Event::GenerationScheduled(g) => {
-                        for slot in g.assignments {
-                            gpus.insert(slot.model_id, slot.gpu);
-                        }
-                    }
-                    Event::TerminationAdvised(_) => {}
-                }
-            }
-            completed
-                .into_values()
-                .map(|m| {
-                    let mut trail = epochs.remove(&m.model_id).unwrap_or_default();
-                    trail.sort_by_key(|e| e.epoch);
-                    for entry in &mut trail {
-                        if let Some(p) = predictions.get(&(m.model_id, entry.epoch)) {
-                            entry.prediction = *p;
-                        }
-                    }
-                    ModelRecord {
-                        model_id: m.model_id,
-                        generation: m.generation,
-                        gpu: gpus.get(&m.model_id).copied(),
-                        genome: m.genome,
-                        arch_summary: m.arch_summary,
-                        flops: m.flops,
-                        objective_names: m.objective_names,
-                        objective_values: m.objective_values,
-                        engine: engine.clone(),
-                        epochs: trail,
-                        final_fitness: m.final_fitness,
-                        predicted_fitness: m.predicted_fitness,
-                        termination: if m.failed {
-                            Terminated::Failed
-                        } else if m.terminated_early {
-                            Terminated::Early
-                        } else {
-                            Terminated::Completed
-                        },
-                        attempts: m.attempts,
-                        beam: beam.clone(),
-                        wall_time_s: m.train_seconds,
-                    }
-                })
-                .collect()
-        });
-        LineageRecorderService { handle }
-    }
-
-    /// Wait for close-and-drain; returns the assembled record trails
-    /// (sorted by model id). Errs only if the recorder thread panicked.
-    pub fn join(self) -> Result<Vec<ModelRecord>, A4nnError> {
-        self.handle
-            .join()
-            .map_err(|_| A4nnError::Internal("lineage recorder service panicked".into()))
-    }
-}
-
 /// Run-level counters folded from the event stream.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct BusRunStats {
@@ -372,8 +262,7 @@ impl RunStatsAggregator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::events::{EpochCompleted, GenerationScheduled, GpuSlot, ModelCompleted};
-    use a4nn_genome::Genome;
+    use crate::events::{EpochCompleted, GenerationScheduled, GpuSlot};
 
     fn epoch(model_id: u64, epoch: u32, val_acc: f64) -> Event {
         Event::EpochCompleted(EpochCompleted {
@@ -419,92 +308,6 @@ mod tests {
     }
 
     #[test]
-    fn recorder_assembles_full_trails() {
-        let topic: Topic<Event> = Topic::new("a4nn");
-        let recorder = LineageRecorderService::spawn(
-            &topic,
-            Some(EngineParamsRecord {
-                function: "exp-base".into(),
-                c_min: 3,
-                e_pred: 25,
-                n: 3,
-                r: 0.5,
-            }),
-            "medium".into(),
-        );
-        let genome = Genome::from_compact_string("1011010-0110101-0000001").unwrap();
-        for model_id in [2u64, 1u64] {
-            for e in 1..=3u32 {
-                topic
-                    .publish(epoch(model_id, e, 50.0 + f64::from(e)))
-                    .unwrap();
-            }
-            topic
-                .publish(Event::EngineVerdict(EngineVerdict {
-                    model_id,
-                    epoch: 3,
-                    prediction: Some(88.0),
-                    converged: None,
-                    engine_seconds: 0.01,
-                    engine_interactions: 3,
-                    retired: false,
-                }))
-                .unwrap();
-            topic
-                .publish(Event::ModelCompleted(ModelCompleted {
-                    model_id,
-                    generation: 0,
-                    genome: genome.clone(),
-                    arch_summary: "3 phases".into(),
-                    flops: 500.0,
-                    objective_names: vec!["neg_fitness".into(), "flops".into()],
-                    objective_values: vec![-53.0, 500.0],
-                    final_fitness: 53.0,
-                    predicted_fitness: None,
-                    terminated_early: false,
-                    failed: false,
-                    attempts: 1,
-                    train_seconds: 6.0,
-                }))
-                .unwrap();
-        }
-        topic
-            .publish(Event::GenerationScheduled(GenerationScheduled {
-                generation: 0,
-                assignments: vec![
-                    GpuSlot {
-                        model_id: 1,
-                        gpu: 0,
-                        start_s: 0.0,
-                        end_s: 6.0,
-                    },
-                    GpuSlot {
-                        model_id: 2,
-                        gpu: 1,
-                        start_s: 0.0,
-                        end_s: 6.0,
-                    },
-                ],
-            }))
-            .unwrap();
-        topic.close();
-        let records = recorder.join().unwrap();
-        assert_eq!(records.len(), 2);
-        assert_eq!(records[0].model_id, 1);
-        assert_eq!(records[1].model_id, 2);
-        assert_eq!(records[0].gpu, Some(0));
-        assert_eq!(records[1].gpu, Some(1));
-        assert_eq!(records[0].epochs.len(), 3);
-        assert_eq!(records[0].epochs[2].prediction, Some(88.0));
-        assert_eq!(records[0].epochs[0].prediction, None);
-        assert_eq!(records[0].engine.as_ref().unwrap().function, "exp-base");
-        assert_eq!(records[0].beam, "medium");
-        // Objective fields ride the completion event into the record.
-        assert_eq!(records[0].objective_names, vec!["neg_fitness", "flops"]);
-        assert_eq!(records[0].objective_values, vec![-53.0, 500.0]);
-    }
-
-    #[test]
     fn engine_service_survives_injected_crash() {
         let topic: Topic<Event> = Topic::new("a4nn");
         let verdicts =
@@ -546,93 +349,6 @@ mod tests {
         // Run totals still include the crashed model's frozen stats
         // (the model completed, degraded) plus model 8's one epoch.
         assert_eq!(service.join().unwrap().interactions, 3);
-    }
-
-    #[test]
-    fn recorder_handles_retries_and_failures() {
-        let topic: Topic<Event> = Topic::new("a4nn");
-        let recorder = LineageRecorderService::spawn(&topic, None, "low".into());
-        let genome = Genome::from_compact_string("1011010-0110101-0000001").unwrap();
-
-        // Model 5: first attempt dies after 2 epochs, retry completes.
-        for e in 1..=2u32 {
-            topic.publish(epoch(5, e, 50.0 + f64::from(e))).unwrap();
-        }
-        topic
-            .publish(Event::TrainingFailed(crate::events::TrainingFailed {
-                model_id: 5,
-                generation: 0,
-                epoch_reached: 2,
-                attempt: 1,
-                will_retry: true,
-            }))
-            .unwrap();
-        for e in 1..=3u32 {
-            topic.publish(epoch(5, e, 50.0 + f64::from(e))).unwrap();
-        }
-        topic
-            .publish(Event::ModelCompleted(ModelCompleted {
-                model_id: 5,
-                generation: 0,
-                genome: genome.clone(),
-                arch_summary: "3 phases".into(),
-                flops: 500.0,
-                objective_names: Vec::new(),
-                objective_values: Vec::new(),
-                final_fitness: 53.0,
-                predicted_fitness: None,
-                terminated_early: false,
-                failed: false,
-                attempts: 2,
-                train_seconds: 6.0,
-            }))
-            .unwrap();
-
-        // Model 6: exhausts its retries; the partial trail survives.
-        for e in 1..=2u32 {
-            topic.publish(epoch(6, e, 40.0 + f64::from(e))).unwrap();
-        }
-        topic
-            .publish(Event::TrainingFailed(crate::events::TrainingFailed {
-                model_id: 6,
-                generation: 0,
-                epoch_reached: 2,
-                attempt: 3,
-                will_retry: false,
-            }))
-            .unwrap();
-        topic
-            .publish(Event::ModelCompleted(ModelCompleted {
-                model_id: 6,
-                generation: 0,
-                genome,
-                arch_summary: "3 phases".into(),
-                flops: 500.0,
-                objective_names: Vec::new(),
-                objective_values: Vec::new(),
-                final_fitness: 0.0,
-                predicted_fitness: None,
-                terminated_early: false,
-                failed: true,
-                attempts: 3,
-                train_seconds: 4.0,
-            }))
-            .unwrap();
-        topic.close();
-
-        let records = recorder.join().unwrap();
-        assert_eq!(records.len(), 2);
-        let recovered = &records[0];
-        assert_eq!(recovered.model_id, 5);
-        assert_eq!(recovered.epochs.len(), 3, "dead attempt's trail dropped");
-        assert_eq!(recovered.termination, Terminated::Completed);
-        assert_eq!(recovered.attempts, 2);
-        let failed = &records[1];
-        assert_eq!(failed.model_id, 6);
-        assert_eq!(failed.epochs.len(), 2, "partial trail kept");
-        assert_eq!(failed.termination, Terminated::Failed);
-        assert!(failed.failed());
-        assert_eq!(failed.attempts, 3);
     }
 
     #[test]

@@ -11,14 +11,12 @@
 
 use crate::checkpoint::CheckpointStore;
 use crate::config::WorkflowConfig;
-use crate::fault::{FaultStats, FaultTolerance};
+use crate::fault::FaultTolerance;
 use crate::pipeline::{DirectTransport, EvalPipeline, Transport};
 use crate::trainer::TrainerFactory;
-use crate::workflow::RunOutput;
+use crate::workflow::{RunOutput, RunTally};
 use a4nn_error::A4nnError;
 use a4nn_genome::Genome;
-use a4nn_lineage::DataCommons;
-use a4nn_sched::GenerationSchedule;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 
@@ -39,24 +37,15 @@ impl RandomSearchWorkflow {
 
     /// Run the search; evaluates the same `population +
     /// offspring × (generations − 1)` budget as the NSGA-Net driver.
-    pub fn run(&self, factory: &dyn TrainerFactory) -> RunOutput {
-        self.run_checkpointed(factory, None)
-    }
-
-    /// [`run`](Self::run) with per-epoch checkpointing. Panics on a
-    /// machinery failure; see
+    /// Panics on a machinery failure; see
     /// [`try_run_checkpointed`](Self::try_run_checkpointed).
-    pub fn run_checkpointed(
-        &self,
-        factory: &dyn TrainerFactory,
-        checkpoints: Option<&CheckpointStore>,
-    ) -> RunOutput {
-        self.try_run_checkpointed(factory, checkpoints)
+    pub fn run(&self, factory: &dyn TrainerFactory) -> RunOutput {
+        self.try_run_checkpointed(factory, None)
             .unwrap_or_else(|e| panic!("random search failed: {e}"))
     }
 
-    /// [`run_checkpointed`](Self::run_checkpointed) returning machinery
-    /// failures as [`A4nnError`] instead of panicking.
+    /// [`run`](Self::run) with per-epoch checkpointing, returning
+    /// machinery failures as [`A4nnError`] instead of panicking.
     pub fn try_run_checkpointed(
         &self,
         factory: &dyn TrainerFactory,
@@ -67,10 +56,7 @@ impl RandomSearchWorkflow {
         let ft = FaultTolerance::default();
         let pipeline = EvalPipeline::new(cfg, &space, factory, checkpoints, &ft);
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-        let mut records = Vec::with_capacity(cfg.nas.total_models());
-        let mut schedules = Vec::with_capacity(cfg.nas.generations);
-        let mut engine_seconds = 0.0;
-        let mut engine_interactions = 0;
+        let mut tally = RunTally::new(cfg);
         let mut next_id = 0u64;
         for generation in 0..cfg.nas.generations {
             let count = if generation == 0 {
@@ -80,29 +66,10 @@ impl RandomSearchWorkflow {
             };
             let genomes: Vec<Genome> = (0..count).map(|_| space.random_genome(&mut rng)).collect();
             let batch = pipeline.run(&DirectTransport, &genomes, generation, next_id)?;
-            for (outcome, _) in &batch.outcomes {
-                engine_seconds += outcome.engine_seconds;
-                engine_interactions += outcome.engine_interactions;
-            }
-            records.extend(batch.records);
-            schedules.push(batch.schedule);
+            tally.absorb(batch, generation, next_id);
             next_id += count as u64;
         }
-        let fault_stats = FaultStats::from_records(&records);
-        Ok(RunOutput {
-            commons: DataCommons::new(records),
-            schedule: GenerationSchedule {
-                generations: schedules,
-            },
-            config: cfg.clone(),
-            engine_seconds,
-            engine_interactions,
-            bus_stats: None,
-            transport_stats: pipeline.transport_stats(DirectTransport.name()),
-            fault_stats,
-            retry_ledger: a4nn_sched::RetryLedger::new(),
-            metrics: pipeline.metrics_registry().snapshot(),
-        })
+        Ok(tally.into_output(&pipeline, DirectTransport.name()))
     }
 }
 
@@ -130,25 +97,15 @@ impl AgingEvolutionWorkflow {
         }
     }
 
-    /// Run the search with the standard budget.
+    /// Run the search with the standard budget. Panics on a machinery
+    /// failure; see [`try_run_checkpointed`](Self::try_run_checkpointed).
     pub fn run(&self, factory: &dyn TrainerFactory) -> RunOutput {
-        self.run_checkpointed(factory, None)
-    }
-
-    /// [`run`](Self::run) with per-epoch checkpointing. Panics on a
-    /// machinery failure; see
-    /// [`try_run_checkpointed`](Self::try_run_checkpointed).
-    pub fn run_checkpointed(
-        &self,
-        factory: &dyn TrainerFactory,
-        checkpoints: Option<&CheckpointStore>,
-    ) -> RunOutput {
-        self.try_run_checkpointed(factory, checkpoints)
+        self.try_run_checkpointed(factory, None)
             .unwrap_or_else(|e| panic!("aging evolution failed: {e}"))
     }
 
-    /// [`run_checkpointed`](Self::run_checkpointed) returning machinery
-    /// failures as [`A4nnError`] instead of panicking.
+    /// [`run`](Self::run) with per-epoch checkpointing, returning
+    /// machinery failures as [`A4nnError`] instead of panicking.
     pub fn try_run_checkpointed(
         &self,
         factory: &dyn TrainerFactory,
@@ -159,10 +116,7 @@ impl AgingEvolutionWorkflow {
         let ft = FaultTolerance::default();
         let pipeline = EvalPipeline::new(cfg, &space, factory, checkpoints, &ft);
         let mut rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-        let mut records = Vec::with_capacity(cfg.nas.total_models());
-        let mut schedules = Vec::with_capacity(cfg.nas.generations);
-        let mut engine_seconds = 0.0;
-        let mut engine_interactions = 0;
+        let mut tally = RunTally::new(cfg);
         let mut next_id = 0u64;
         // The aging queue: (genome, fitness), oldest at the front.
         let mut population: VecDeque<(Genome, f64)> = VecDeque::with_capacity(cfg.nas.population);
@@ -194,34 +148,17 @@ impl AgingEvolutionWorkflow {
                     .collect()
             };
             let batch = pipeline.run(&DirectTransport, &genomes, generation, next_id)?;
-            for (genome, (outcome, _)) in genomes.iter().zip(&batch.outcomes) {
-                engine_seconds += outcome.engine_seconds;
-                engine_interactions += outcome.engine_interactions;
+            let outcomes = tally.absorb(batch, generation, next_id);
+            for (genome, (outcome, _)) in genomes.iter().zip(&outcomes) {
                 // Age out the oldest member once the queue is full.
                 if population.len() == cfg.nas.population {
                     population.pop_front();
                 }
                 population.push_back((genome.clone(), outcome.final_fitness));
             }
-            records.extend(batch.records);
-            schedules.push(batch.schedule);
             next_id += genomes.len() as u64;
         }
-        let fault_stats = FaultStats::from_records(&records);
-        Ok(RunOutput {
-            commons: DataCommons::new(records),
-            schedule: GenerationSchedule {
-                generations: schedules,
-            },
-            config: cfg.clone(),
-            engine_seconds,
-            engine_interactions,
-            bus_stats: None,
-            transport_stats: pipeline.transport_stats(DirectTransport.name()),
-            fault_stats,
-            retry_ledger: a4nn_sched::RetryLedger::new(),
-            metrics: pipeline.metrics_registry().snapshot(),
-        })
+        Ok(tally.into_output(&pipeline, DirectTransport.name()))
     }
 }
 

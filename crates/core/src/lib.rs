@@ -12,7 +12,8 @@
 //! - the **evaluation pipeline** ([`pipeline`]): the one generation loop
 //!   every driver trains through, generic over a pluggable
 //!   [`Transport`] (in-process [`DirectTransport`] or the `a4nn-bus`
-//!   event bus via [`BusTransport`]) with fault tolerance always on;
+//!   event bus via [`BusTransport`]) with fault tolerance always on, and
+//!   the one place record trails are assembled;
 //! - the **lineage tracker / data commons** (`a4nn-lineage`);
 //! - the **resource manager** (`a4nn-sched`): FIFO dynamic scheduling of
 //!   models onto virtual GPUs within each generation;

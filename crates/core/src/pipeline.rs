@@ -6,22 +6,25 @@
 //! thread budget, run every genome through the transport (with the
 //! fault-tolerance layer's retries and deterministic injection always
 //! on — a zero-fault plan with no retries *is* the plain path), replay
-//! the simulated durations on the discrete-event scheduler, and emit
-//! record trails. The transport decides only *how* trainers and the
-//! prediction engine are coupled:
+//! the simulated durations on the discrete-event scheduler, and assemble
+//! each generation's record trails from the outcomes. That assembly is
+//! the one record path: every transport returns outcomes and the
+//! pipeline builds the trails. The transport decides only *how* trainers
+//! and the prediction engine are coupled:
 //!
 //! - [`DirectTransport`] — in-process calls: each trainer drives its own
-//!   engine instance inline (rayon data parallelism), and the pipeline
-//!   assembles the record trails itself;
+//!   engine instance inline (rayon data parallelism);
 //! - [`BusTransport`] — the `a4nn-bus` event bus (§2.2's in-situ task
 //!   coupling): trainers run as jobs on the sched thread pool, publish
-//!   per-epoch fitness, and block on the engine service's verdicts; the
-//!   lineage recorder service assembles the trails from the stream at
-//!   end of run.
+//!   per-epoch fitness, and block on the engine service's verdicts. The
+//!   bus carries engine verdicts and the events the run-stats
+//!   aggregator counts, nothing the records depend on;
+//! - `a4nn-net`'s `SocketTransport` — trainer jobs sharded over TCP
+//!   workers.
 //!
-//! Determinism contract: both transports consult the same
+//! Determinism contract: every transport consults the same
 //! [`FaultTolerance`] plan at the same `(model, epoch, attempt)` sites
-//! and reproduce identical record trails per seed.
+//! and returns identical outcomes per seed, so the trails are identical.
 //!
 //! Failure taxonomy: trainer panics (injected or organic) are *data* —
 //! they flow through retries into `Terminated::Failed` records. An
@@ -134,28 +137,14 @@ pub struct BatchResult {
     pub outcomes: Vec<(TrainingOutcome, ModelCost)>,
     /// The generation's cluster schedule.
     pub schedule: ScheduleResult,
-    /// Completed record trails, in submission order — empty when the
-    /// transport assembles them elsewhere (see
-    /// [`Transport::assembles_records`]).
+    /// Completed record trails, in submission order.
     pub records: Vec<ModelRecord>,
 }
 
-/// The engine-parameters stamp attached to every record trail of a run
-/// (Table 1), or `None` for standalone-NAS runs.
-pub fn engine_params_record(cfg: &WorkflowConfig) -> Option<EngineParamsRecord> {
-    cfg.engine.as_ref().map(|e| EngineParamsRecord {
-        function: e.family.name().to_string(),
-        c_min: e.c_min,
-        e_pred: e.e_pred,
-        n: e.n_converge,
-        r: e.r,
-    })
-}
-
-/// How one generation's trainers are coupled to the prediction engine
-/// and the lineage sink. Implementations must keep the search trajectory
-/// bit-identical across transports: same outcomes per `(seed, genome)`,
-/// same simulated durations, same fault-plan consultation sites.
+/// How one generation's trainers are coupled to the prediction engine.
+/// Implementations must keep the search trajectory bit-identical across
+/// transports: same outcomes per `(seed, genome)`, same simulated
+/// durations, same fault-plan consultation sites.
 pub trait Transport {
     /// Train every genome of the generation, returning
     /// `(outcome, cost)` per genome in submission order. The cost is the
@@ -173,23 +162,18 @@ pub trait Transport {
         base_id: u64,
     ) -> Result<Vec<(TrainingOutcome, ModelCost)>, A4nnError>;
 
-    /// Announce the completed generation (outcomes plus its cluster
-    /// schedule) to any out-of-process listeners. The direct transport
-    /// has none and does nothing.
+    /// Announce the completed generation — its `models` completions
+    /// from `base_id` on, then its cluster schedule — to any listeners.
+    /// Transports without listeners keep this default no-op.
     fn publish_generation(
         &self,
-        pipeline: &EvalPipeline<'_>,
-        genomes: &[Genome],
-        generation: usize,
-        base_id: u64,
-        outcomes: &[(TrainingOutcome, ModelCost)],
-        schedule: &ScheduleResult,
-    ) -> Result<(), A4nnError>;
-
-    /// Whether the pipeline should assemble record trails inline
-    /// (`true`), or a downstream service folds them from the published
-    /// events (`false`).
-    fn assembles_records(&self) -> bool;
+        _generation: usize,
+        _base_id: u64,
+        _models: usize,
+        _schedule: &ScheduleResult,
+    ) -> Result<(), A4nnError> {
+        Ok(())
+    }
 
     /// Short stable name for the metrics layer (`direct`, `bus`,
     /// `socket`).
@@ -199,7 +183,7 @@ pub trait Transport {
 }
 
 /// One generation-evaluation pipeline: the shared train → schedule →
-/// record sequence every driver and both transports run through.
+/// record sequence every driver and every transport runs through.
 pub struct EvalPipeline<'a> {
     cfg: &'a WorkflowConfig,
     space: &'a SearchSpace,
@@ -338,7 +322,7 @@ impl<'a> EvalPipeline<'a> {
         // on the other hand, are simulated time and are charged to the
         // GPUs.
         let schedule = generation_schedule(self.cfg.gpus, base_id, &outcomes, &self.ft.retry);
-        transport.publish_generation(self, genomes, generation, base_id, &outcomes, &schedule)?;
+        transport.publish_generation(generation, base_id, outcomes.len(), &schedule)?;
 
         // Outcome-derived metrics are counted here, after the transport
         // returns, so all three transports feed them identically.
@@ -357,11 +341,7 @@ impl<'a> EvalPipeline<'a> {
             }
         }
 
-        let records = if transport.assembles_records() {
-            self.assemble_records(genomes, generation, base_id, &outcomes, &schedule)
-        } else {
-            Vec::new()
-        };
+        let records = self.assemble_records(genomes, generation, base_id, &outcomes, &schedule);
         Ok(BatchResult {
             outcomes,
             schedule,
@@ -369,13 +349,8 @@ impl<'a> EvalPipeline<'a> {
         })
     }
 
-    /// Fold outcomes and placements into one record trail per genome —
-    /// the exact shape the bus recorder service reproduces from events.
-    /// Public so the resumable loop can materialize records for boundary
-    /// snapshots even under transports that delegate record assembly to
-    /// bus services (the proven transport-equivalence contract makes the
-    /// inline assembly byte-identical to the recorder's).
-    pub fn assemble_records(
+    /// Fold outcomes and placements into one record trail per genome.
+    fn assemble_records(
         &self,
         genomes: &[Genome],
         generation: usize,
@@ -383,7 +358,15 @@ impl<'a> EvalPipeline<'a> {
         outcomes: &[(TrainingOutcome, ModelCost)],
         schedule: &ScheduleResult,
     ) -> Vec<ModelRecord> {
-        let engine_record = engine_params_record(self.cfg);
+        // The engine-parameters stamp of the run (Table 1), or `None`
+        // for standalone-NAS runs.
+        let engine_record = self.cfg.engine.as_ref().map(|e| EngineParamsRecord {
+            function: e.family.name().to_string(),
+            c_min: e.c_min,
+            e_pred: e.e_pred,
+            n: e.n_converge,
+            r: e.r,
+        });
         genomes
             .iter()
             .zip(outcomes)
@@ -423,7 +406,7 @@ impl<'a> EvalPipeline<'a> {
 }
 
 /// In-process coupling: rayon data parallelism, each trainer driving its
-/// own engine instance inline, record trails assembled by the pipeline.
+/// own engine instance inline.
 pub struct DirectTransport;
 
 impl Transport for DirectTransport {
@@ -458,22 +441,6 @@ impl Transport for DirectTransport {
             .collect())
     }
 
-    fn publish_generation(
-        &self,
-        _pipeline: &EvalPipeline<'_>,
-        _genomes: &[Genome],
-        _generation: usize,
-        _base_id: u64,
-        _outcomes: &[(TrainingOutcome, ModelCost)],
-        _schedule: &ScheduleResult,
-    ) -> Result<(), A4nnError> {
-        Ok(())
-    }
-
-    fn assembles_records(&self) -> bool {
-        true
-    }
-
     fn name(&self) -> &'static str {
         "direct"
     }
@@ -483,16 +450,15 @@ impl Transport for DirectTransport {
 /// ([`GpuPool`]), publish per-epoch fitness onto the topic, and block on
 /// the engine service's verdicts — the same synchronous per-epoch
 /// hand-off as Algorithm 1, just routed through communicators. Requires
-/// the engine service (when `cfg.engine` is set), the lineage recorder,
-/// and any stats services to already be subscribed.
+/// the engine service (when `cfg.engine` is set) and any stats services
+/// to already be subscribed.
 ///
 /// Fault tolerance: attempts run under the pool's `catch_unwind`; a
 /// dying attempt publishes [`TrainingFailed`] *before* it unwinds, so
-/// the engine and recorder services discard its partial state ahead of
-/// any retry's events. A trainer that receives a `retired` verdict (the
-/// engine crashed for its model) — or whose verdict subscription dies
-/// outright — degrades to run-to-completion training instead of
-/// deadlocking.
+/// the engine service discards its partial state ahead of any retry's
+/// events. A trainer that receives a `retired` verdict (the engine
+/// crashed for its model) — or whose verdict subscription dies outright
+/// — degrades to run-to-completion training instead of deadlocking.
 pub struct BusTransport<'t> {
     topic: &'t Topic<Event>,
 }
@@ -589,35 +555,22 @@ impl Transport for BusTransport<'_> {
 
     fn publish_generation(
         &self,
-        pipeline: &EvalPipeline<'_>,
-        genomes: &[Genome],
         generation: usize,
         base_id: u64,
-        outcomes: &[(TrainingOutcome, ModelCost)],
+        models: usize,
         schedule: &ScheduleResult,
     ) -> Result<(), A4nnError> {
-        for (k, (genome, (outcome, cost))) in genomes.iter().zip(outcomes).enumerate() {
-            let event = Event::ModelCompleted(ModelCompleted {
-                model_id: base_id + k as u64,
-                generation,
-                genome: genome.clone(),
-                arch_summary: pipeline.space.decode(genome).summary(),
-                flops: cost.flops,
-                objective_names: pipeline.cfg.objectives.names(),
-                objective_values: pipeline.cfg.objectives.values(outcome, cost),
-                final_fitness: outcome.final_fitness,
-                predicted_fitness: outcome.predicted_fitness,
-                terminated_early: outcome.terminated_early,
-                failed: outcome.failed,
-                attempts: outcome.attempts,
-                train_seconds: outcome.train_seconds,
-            });
-            self.topic.publish(event).map_err(|_| {
-                A4nnError::BusClosed(format!(
-                    "publishing completion of model {} in generation {generation}",
-                    base_id + k as u64
-                ))
-            })?;
+        for model_id in base_id..base_id + models as u64 {
+            self.topic
+                .publish(Event::ModelCompleted(ModelCompleted {
+                    model_id,
+                    generation,
+                }))
+                .map_err(|_| {
+                    A4nnError::BusClosed(format!(
+                        "publishing completion of model {model_id} in generation {generation}"
+                    ))
+                })?;
         }
         self.topic
             .publish(Event::GenerationScheduled(GenerationScheduled {
@@ -637,10 +590,6 @@ impl Transport for BusTransport<'_> {
                 A4nnError::BusClosed(format!("publishing schedule of generation {generation}"))
             })?;
         Ok(())
-    }
-
-    fn assembles_records(&self) -> bool {
-        false
     }
 
     fn name(&self) -> &'static str {
@@ -977,7 +926,7 @@ mod tests {
             service.join().unwrap();
         }
 
-        assert!(bus.records.is_empty(), "bus leaves records to the recorder");
+        assert_eq!(direct.records, bus.records);
         assert_eq!(direct.schedule.assignments, bus.schedule.assignments);
         for ((d, df), (b, bf)) in direct.outcomes.iter().zip(&bus.outcomes) {
             assert_eq!(df, bf);

@@ -10,15 +10,15 @@
 use crate::checkpoint::CheckpointStore;
 use crate::config::WorkflowConfig;
 use crate::fault::{FaultStats, FaultTolerance};
+use crate::objectives::ModelCost;
 use crate::pipeline::{
-    engine_params_record, BatchResult, BusTransport, DirectTransport, EvalPipeline, Transport,
-    TransportStats,
+    BatchResult, BusTransport, DirectTransport, EvalPipeline, Transport, TransportStats,
 };
 use crate::resume::{config_hash, RunControl, SearchSnapshot, SNAPSHOT_VERSION};
 use crate::trainer::TrainerFactory;
+use crate::training::TrainingOutcome;
 use a4nn_bus::{
-    BusRunStats, EngineFaultHook, Event, LineageRecorderService, Policy, PredictionEngineService,
-    RunStatsAggregator, Topic,
+    BusRunStats, EngineFaultHook, Event, Policy, PredictionEngineService, RunStatsAggregator, Topic,
 };
 use a4nn_error::A4nnError;
 use a4nn_genome::{Genome, SearchSpace};
@@ -32,23 +32,25 @@ use a4nn_sched::{GenerationSchedule, RetryEntry, RetryLedger, ScheduleResult};
 use rand::SeedableRng;
 use std::collections::HashSet;
 
-/// How the workflow couples trainers, prediction engine, and lineage.
+/// How the workflow couples trainers to the prediction engine. Record
+/// trails are assembled by the evaluation pipeline in every mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Orchestration {
-    /// In-process calls: trainers drive their own engine instance and
-    /// the batch evaluator assembles record trails (the seed path).
+    /// In-process calls: trainers drive their own engine instance (the
+    /// seed path).
     #[default]
     Direct,
-    /// The a4nn-bus event bus: trainers publish per-epoch fitness, the
-    /// engine/lineage/stats services run as subscribed threads (§2.2's
-    /// in-situ task coupling). Produces identical record trails.
+    /// The a4nn-bus event bus: trainers publish per-epoch fitness and
+    /// block on the engine service's verdicts; the engine and run-stats
+    /// services run as subscribed threads (§2.2's in-situ task
+    /// coupling). Produces identical record trails.
     Bus,
     /// TCP worker processes via the `a4nn-net` socket transport: the
     /// coordinator shards each generation's jobs across connected
     /// workers. The transport lives outside this crate, so socket runs
-    /// go through [`A4nnWorkflow::try_run_transport`] with a constructed
-    /// `SocketTransport`; this variant exists so the CLI can parse the
-    /// mode uniformly. Produces identical record trails.
+    /// go through [`A4nnWorkflow::try_run_transport_resumable`] with a
+    /// constructed `SocketTransport`; this variant exists so the CLI can
+    /// parse the mode uniformly. Produces identical record trails.
     Socket,
 }
 
@@ -157,74 +159,31 @@ impl A4nnWorkflow {
         &self.space
     }
 
-    /// Run the complete search using trainers from `factory`.
-    pub fn run(&self, factory: &dyn TrainerFactory) -> RunOutput {
-        self.run_checkpointed_with(factory, None, Orchestration::Direct)
-    }
-
-    /// [`run`](Self::run) with an explicit coupling mode. `Bus` and
-    /// `Direct` produce identical record trails per seed.
-    pub fn run_with(
-        &self,
-        factory: &dyn TrainerFactory,
-        orchestration: Orchestration,
-    ) -> RunOutput {
-        self.run_checkpointed_with(factory, None, orchestration)
-    }
-
-    /// [`run`](Self::run) that additionally checkpoints every model's
-    /// per-epoch state into `checkpoints` when the trainer supports it
-    /// (§2.2.2's "model can be loaded and re-evaluated from any point").
-    pub fn run_checkpointed(
-        &self,
-        factory: &dyn TrainerFactory,
-        checkpoints: Option<&CheckpointStore>,
-    ) -> RunOutput {
-        self.run_checkpointed_with(factory, checkpoints, Orchestration::Direct)
-    }
-
-    /// [`run_checkpointed`](Self::run_checkpointed) with an explicit
-    /// coupling mode.
-    pub fn run_checkpointed_with(
-        &self,
-        factory: &dyn TrainerFactory,
-        checkpoints: Option<&CheckpointStore>,
-        orchestration: Orchestration,
-    ) -> RunOutput {
-        self.run_resilient(
-            factory,
-            checkpoints,
-            orchestration,
-            &FaultTolerance::default(),
-        )
-    }
-
-    /// [`run_checkpointed_with`](Self::run_checkpointed_with) under an
-    /// explicit [`FaultTolerance`]: panicked trainer attempts retry per
-    /// the policy, injected faults replay deterministically from the
-    /// plan, and models exhausting their budget survive the search as
-    /// `Terminated::Failed` records. The default tolerance reproduces
-    /// the fault-free run byte for byte in both coupling modes.
-    ///
-    /// Panics if the run's machinery breaks (bus closed mid-run, a
-    /// crashed service thread); use
+    /// Run the complete search using trainers from `factory`, in process
+    /// and fault-free. Panics if the run's machinery breaks; use
     /// [`try_run_resilient`](Self::try_run_resilient) to handle that as
     /// an error instead.
-    pub fn run_resilient(
-        &self,
-        factory: &dyn TrainerFactory,
-        checkpoints: Option<&CheckpointStore>,
-        orchestration: Orchestration,
-        ft: &FaultTolerance,
-    ) -> RunOutput {
-        self.try_run_resilient(factory, checkpoints, orchestration, ft)
-            .unwrap_or_else(|e| panic!("workflow failed: {e}"))
+    pub fn run(&self, factory: &dyn TrainerFactory) -> RunOutput {
+        self.try_run_resilient(
+            factory,
+            None,
+            Orchestration::Direct,
+            &FaultTolerance::default(),
+        )
+        .unwrap_or_else(|e| panic!("workflow failed: {e}"))
     }
 
-    /// [`run_resilient`](Self::run_resilient) returning machinery
-    /// failures as [`A4nnError`] instead of panicking. Trainer crashes
-    /// are *not* errors — they flow through the retry budget into
-    /// `Terminated::Failed` records; `Err` here means the run itself
+    /// Run the search with an explicit coupling mode, checkpointing every
+    /// model's per-epoch state into `checkpoints` when the trainer
+    /// supports it (§2.2.2's "model can be loaded and re-evaluated from
+    /// any point"), under an explicit [`FaultTolerance`]: panicked
+    /// trainer attempts retry per the policy, injected faults replay
+    /// deterministically from the plan, and models exhausting their
+    /// budget survive the search as `Terminated::Failed` records. The
+    /// default tolerance reproduces the fault-free run byte for byte in
+    /// every coupling mode.
+    ///
+    /// Trainer crashes are *not* errors; `Err` here means the run itself
     /// could not continue (closed bus, crashed service, poisoned pool).
     pub fn try_run_resilient(
         &self,
@@ -260,49 +219,23 @@ impl A4nnWorkflow {
         control: &RunControl<'_>,
         resume: Option<SearchSnapshot>,
     ) -> Result<RunOutput, A4nnError> {
-        let cfg = &self.config;
-        let pipeline = EvalPipeline::new(cfg, &self.space, factory, checkpoints, ft);
         match orchestration {
-            Orchestration::Direct => {
-                let out = self.run_loop(
-                    &pipeline,
-                    &mut |genomes, generation, base_id| {
-                        pipeline.run(&DirectTransport, genomes, generation, base_id)
-                    },
-                    control,
-                    resume,
-                )?;
-                let fault_stats = FaultStats::from_records(&out.records);
-                Ok(RunOutput {
-                    commons: DataCommons::new(out.records),
-                    schedule: GenerationSchedule {
-                        generations: out.schedules,
-                    },
-                    config: cfg.clone(),
-                    engine_seconds: out.engine_seconds,
-                    engine_interactions: out.engine_interactions,
-                    bus_stats: None,
-                    transport_stats: pipeline.transport_stats(DirectTransport.name()),
-                    fault_stats,
-                    retry_ledger: out.retry_ledger,
-                    metrics: pipeline.metrics_registry().snapshot(),
-                })
-            }
+            Orchestration::Direct => self.try_run_transport_resumable(
+                factory,
+                checkpoints,
+                &DirectTransport,
+                ft,
+                control,
+                resume,
+            ),
             Orchestration::Socket => Err(A4nnError::Config(
                 "socket orchestration needs connected workers; construct a \
-                 SocketTransport (a4nn-net) and call try_run_transport"
+                 SocketTransport (a4nn-net) and call try_run_transport_resumable"
                     .into(),
             )),
             Orchestration::Bus => {
-                // The recorder service only sees events from this
-                // process; the generations completed before an
-                // interruption are prepended from the snapshot.
-                let prior_records: Vec<ModelRecord> = resume
-                    .as_ref()
-                    .map(|s| s.records.clone())
-                    .unwrap_or_default();
                 let topic: Topic<Event> = Topic::new("a4nn");
-                let engine_service = cfg.engine.clone().map(|engine| {
+                let engine_service = self.config.engine.clone().map(|engine| {
                     // Injected engine crashes ride in through the service's
                     // fault hook, driven by the same deterministic plan the
                     // direct path consults inline.
@@ -313,11 +246,6 @@ impl A4nnWorkflow {
                     });
                     PredictionEngineService::spawn_hooked(&topic, engine, hook)
                 });
-                let recorder = LineageRecorderService::spawn(
-                    &topic,
-                    engine_params_record(cfg),
-                    cfg.beam.label().to_string(),
-                );
                 let aggregator = RunStatsAggregator::spawn(&topic);
                 // The plan's lagging subscriber: a slow, lossy consumer
                 // that exercises backpressure isolation without being able
@@ -331,83 +259,41 @@ impl A4nnWorkflow {
                         inbox.stats()
                     })
                 });
-                let transport = BusTransport::new(&topic);
-                let loop_result = self.run_loop(
-                    &pipeline,
-                    &mut |genomes, generation, base_id| {
-                        pipeline.run(&transport, genomes, generation, base_id)
-                    },
+                let run = self.try_run_transport_resumable(
+                    factory,
+                    checkpoints,
+                    &BusTransport::new(&topic),
+                    ft,
                     control,
                     resume,
                 );
                 // Always close and drain the services — even when the
-                // loop failed — so no thread is left blocked; then
-                // surface the loop's error ahead of any join error.
+                // run failed — so no thread is left blocked; then
+                // surface the run's error ahead of any join error.
                 topic.close();
                 let engine_join = engine_service.map(|service| service.join()).transpose();
-                let records = recorder.join();
                 let bus_stats = aggregator.join();
-                let out = loop_result?;
+                let mut out = run?;
                 engine_join?;
-                let records = {
-                    let mut all = prior_records;
-                    all.extend(records?);
-                    all
-                };
-                let bus_stats = bus_stats?;
-                let mut fault_stats = FaultStats::from_records(&records);
-                fault_stats.laggard = match laggard {
+                out.bus_stats = Some(bus_stats?);
+                out.fault_stats.laggard = match laggard {
                     Some(handle) => Some(handle.join().map_err(|_| {
                         A4nnError::Internal("laggard subscriber thread panicked".into())
                     })?),
                     None => None,
                 };
-                Ok(RunOutput {
-                    commons: DataCommons::new(records),
-                    schedule: GenerationSchedule {
-                        generations: out.schedules,
-                    },
-                    config: cfg.clone(),
-                    engine_seconds: out.engine_seconds,
-                    engine_interactions: out.engine_interactions,
-                    bus_stats: Some(bus_stats),
-                    transport_stats: pipeline.transport_stats(transport.name()),
-                    fault_stats,
-                    retry_ledger: out.retry_ledger,
-                    metrics: pipeline.metrics_registry().snapshot(),
-                })
+                Ok(out)
             }
         }
     }
 
-    /// Run the search through an externally constructed [`Transport`] —
-    /// the entry point for transports that live outside this crate, such
-    /// as `a4nn-net`'s `SocketTransport`. The transport must assemble
-    /// record trails inline (like `DirectTransport`); transports that
-    /// delegate recording to bus services go through
-    /// [`try_run_resilient`](Self::try_run_resilient) instead, which
-    /// owns the service lifecycle.
-    pub fn try_run_transport(
-        &self,
-        factory: &dyn TrainerFactory,
-        checkpoints: Option<&CheckpointStore>,
-        transport: &dyn Transport,
-        ft: &FaultTolerance,
-    ) -> Result<RunOutput, A4nnError> {
-        self.try_run_transport_resumable(
-            factory,
-            checkpoints,
-            transport,
-            ft,
-            &RunControl::default(),
-            None,
-        )
-    }
-
-    /// [`try_run_transport`](Self::try_run_transport) under a
-    /// [`RunControl`]: boundary snapshots, optional cancellation, and
-    /// continuation from a prior snapshot — the socket-transport
-    /// counterpart of [`try_run_resumable`](Self::try_run_resumable).
+    /// Run the search through `transport` under a [`RunControl`]:
+    /// boundary snapshots, optional cancellation, and continuation from
+    /// a prior snapshot. Every coupling mode ends here — the direct and
+    /// bus arms of [`try_run_resumable`](Self::try_run_resumable), and
+    /// transports that live outside this crate, such as `a4nn-net`'s
+    /// `SocketTransport`. A transport that needs services (the bus
+    /// engine) must have them subscribed before the call.
     pub fn try_run_transport_resumable(
         &self,
         factory: &dyn TrainerFactory,
@@ -417,42 +303,13 @@ impl A4nnWorkflow {
         control: &RunControl<'_>,
         resume: Option<SearchSnapshot>,
     ) -> Result<RunOutput, A4nnError> {
-        if !transport.assembles_records() {
-            return Err(A4nnError::Config(format!(
-                "transport {:?} delegates record assembly to bus services; \
-                 run it through try_run_resilient",
-                transport.name()
-            )));
-        }
-        let cfg = &self.config;
-        let pipeline = EvalPipeline::new(cfg, &self.space, factory, checkpoints, ft);
-        let out = self.run_loop(
-            &pipeline,
-            &mut |genomes, generation, base_id| {
-                pipeline.run(transport, genomes, generation, base_id)
-            },
-            control,
-            resume,
-        )?;
-        let fault_stats = FaultStats::from_records(&out.records);
-        Ok(RunOutput {
-            commons: DataCommons::new(out.records),
-            schedule: GenerationSchedule {
-                generations: out.schedules,
-            },
-            config: cfg.clone(),
-            engine_seconds: out.engine_seconds,
-            engine_interactions: out.engine_interactions,
-            bus_stats: None,
-            transport_stats: pipeline.transport_stats(transport.name()),
-            fault_stats,
-            retry_ledger: out.retry_ledger,
-            metrics: pipeline.metrics_registry().snapshot(),
-        })
+        let pipeline = EvalPipeline::new(&self.config, &self.space, factory, checkpoints, ft);
+        let tally = self.run_loop(&pipeline, transport, control, resume)?;
+        Ok(tally.into_output(&pipeline, transport.name()))
     }
 
-    /// The shared NSGA-Net generational loop; `evaluate` trains one
-    /// generation batch through the pipeline (on any transport).
+    /// The NSGA-Net generational loop; each generation batch trains
+    /// through the pipeline on `transport`.
     ///
     /// With a `resume` snapshot, the loop reconstructs every piece of
     /// state the snapshot's boundary committed — RNG stream, archive,
@@ -464,28 +321,23 @@ impl A4nnWorkflow {
     fn run_loop(
         &self,
         pipeline: &EvalPipeline<'_>,
-        evaluate: &mut GenerationEvaluator<'_>,
+        transport: &dyn Transport,
         control: &RunControl<'_>,
         resume: Option<SearchSnapshot>,
-    ) -> Result<LoopOutput, A4nnError> {
+    ) -> Result<RunTally, A4nnError> {
         let cfg = &self.config;
-        let snapshotting = control.snapshot_dir.is_some();
-        let cfg_hash = if snapshotting || resume.is_some() {
+        let cfg_hash = if control.snapshot_dir.is_some() || resume.is_some() {
             Some(config_hash(cfg)?)
         } else {
             None
         };
 
         let mut rng;
-        let mut records: Vec<ModelRecord>;
+        let mut tally: RunTally;
         let mut archive: Vec<Individual<Genome>>;
-        let mut schedules: Vec<ScheduleResult>;
         let mut seen: HashSet<String>;
-        let mut engine_seconds;
-        let mut engine_interactions;
         let mut next_id;
         let mut parents: Vec<usize>;
-        let mut ledger: RetryLedger;
         let mut genomes: Vec<Genome>;
         let start_generation;
 
@@ -534,15 +386,17 @@ impl A4nnWorkflow {
                 }
                 pipeline.restore_metrics(snap.metrics);
                 rng = rand::rngs::StdRng::from_state(snap.rng_state);
-                records = snap.records;
+                tally = RunTally {
+                    records: snap.records,
+                    schedules: snap.schedules,
+                    engine_seconds: snap.engine_seconds,
+                    engine_interactions: snap.engine_interactions,
+                    retry_ledger: snap.retries,
+                };
                 archive = snap.archive;
-                schedules = snap.schedules;
                 seen = snap.seen.into_iter().collect();
-                engine_seconds = snap.engine_seconds;
-                engine_interactions = snap.engine_interactions;
                 next_id = snap.next_id;
                 parents = snap.parents;
-                ledger = snap.retries;
                 // Offspring are regenerated from the archive inside the
                 // loop; generation 0's pre-drawn population is only
                 // needed on a fresh start.
@@ -551,14 +405,10 @@ impl A4nnWorkflow {
             }
             None => {
                 rng = rand::rngs::StdRng::seed_from_u64(cfg.seed);
-                records = Vec::with_capacity(cfg.nas.total_models());
+                tally = RunTally::new(cfg);
                 archive = Vec::with_capacity(cfg.nas.total_models());
-                schedules = Vec::with_capacity(cfg.nas.generations);
                 seen = HashSet::new();
-                engine_seconds = 0.0f64;
-                engine_interactions = 0u64;
                 next_id = 0u64;
-                ledger = RetryLedger::new();
                 // Generation 0: random initial population.
                 genomes = (0..cfg.nas.population)
                     .map(|_| self.space.random_genome(&mut rng))
@@ -611,48 +461,21 @@ impl A4nnWorkflow {
                     .collect();
             }
 
-            // Train the whole generation on the configured evaluator.
+            // Train the whole generation on the transport.
             let base_id = next_id;
-            let batch = evaluate(&genomes, generation, base_id)?;
+            let batch = pipeline.run(transport, &genomes, generation, base_id)?;
+            let outcomes = tally.absorb(batch, generation, base_id);
             let mut generation_indices = Vec::with_capacity(genomes.len());
-            for (k, genome) in genomes.iter().enumerate() {
-                let model_id = base_id + k as u64;
-                let (outcome, cost) = &batch.outcomes[k];
-                engine_seconds += outcome.engine_seconds;
-                engine_interactions += outcome.engine_interactions;
-                ledger.push(RetryEntry {
-                    model_id,
-                    generation,
-                    attempts: outcome.attempts,
-                    failed: outcome.failed,
-                });
+            for (k, (genome, (outcome, cost))) in genomes.iter().zip(&outcomes).enumerate() {
                 archive.push(Individual {
-                    id: model_id,
+                    id: base_id + k as u64,
                     generation,
                     genome: genome.clone(),
                     objectives: cfg.objectives.vector(outcome, cost),
                 });
                 generation_indices.push(archive.len() - 1);
             }
-            if snapshotting && batch.records.is_empty() {
-                // Bus transports delegate record assembly to the
-                // recorder service, which only materializes trails at
-                // end of run. A snapshot must carry this generation's
-                // trails now, so assemble them inline — valid on any
-                // transport by the transport-equivalence contract.
-                records.extend(pipeline.assemble_records(
-                    &genomes,
-                    generation,
-                    base_id,
-                    &batch.outcomes,
-                    &batch.schedule,
-                ));
-            } else {
-                records.extend(batch.records);
-            }
-            let schedule = batch.schedule;
             next_id += genomes.len() as u64;
-            schedules.push(schedule);
 
             // Elitist environmental selection (μ+λ).
             if generation == 0 {
@@ -680,11 +503,11 @@ impl A4nnWorkflow {
                     archive: archive.clone(),
                     parents: parents.clone(),
                     seen: seen_sorted,
-                    records: records.clone(),
-                    schedules: schedules.clone(),
-                    engine_seconds,
-                    engine_interactions,
-                    retries: ledger.clone(),
+                    records: tally.records.clone(),
+                    schedules: tally.schedules.clone(),
+                    engine_seconds: tally.engine_seconds,
+                    engine_interactions: tally.engine_interactions,
+                    retries: tally.retry_ledger.clone(),
                     metrics: pipeline.metrics_registry().snapshot(),
                 };
                 snap.save(dir)?;
@@ -702,28 +525,76 @@ impl A4nnWorkflow {
             }
         }
 
-        Ok(LoopOutput {
-            records,
-            schedules,
-            engine_seconds,
-            engine_interactions,
-            retry_ledger: ledger,
-        })
+        Ok(tally)
     }
 }
 
-/// Closure handed to [`A4nnWorkflow::run_loop`]: trains one generation
-/// batch `(genomes, generation, base_id)` through the pipeline.
-type GenerationEvaluator<'a> =
-    dyn FnMut(&[Genome], usize, u64) -> Result<BatchResult, A4nnError> + 'a;
-
-/// What the shared generational loop accumulates.
-struct LoopOutput {
+/// What every search driver accumulates generation by generation, and
+/// the one place a [`RunOutput`] is built from it.
+#[derive(Debug)]
+pub(crate) struct RunTally {
     records: Vec<ModelRecord>,
     schedules: Vec<ScheduleResult>,
     engine_seconds: f64,
     engine_interactions: u64,
     retry_ledger: RetryLedger,
+}
+
+impl RunTally {
+    /// An empty tally sized for `cfg`'s model budget.
+    pub(crate) fn new(cfg: &WorkflowConfig) -> Self {
+        RunTally {
+            records: Vec::with_capacity(cfg.nas.total_models()),
+            schedules: Vec::with_capacity(cfg.nas.generations),
+            engine_seconds: 0.0,
+            engine_interactions: 0,
+            retry_ledger: RetryLedger::new(),
+        }
+    }
+
+    /// Fold one evaluated generation in: its record trails, schedule,
+    /// engine totals and per-model attempts. Returns the batch's
+    /// `(outcome, cost)` pairs for the driver's selection step.
+    pub(crate) fn absorb(
+        &mut self,
+        batch: BatchResult,
+        generation: usize,
+        base_id: u64,
+    ) -> Vec<(TrainingOutcome, ModelCost)> {
+        for (k, (outcome, _)) in batch.outcomes.iter().enumerate() {
+            self.engine_seconds += outcome.engine_seconds;
+            self.engine_interactions += outcome.engine_interactions;
+            self.retry_ledger.push(RetryEntry {
+                model_id: base_id + k as u64,
+                generation,
+                attempts: outcome.attempts,
+                failed: outcome.failed,
+            });
+        }
+        self.records.extend(batch.records);
+        self.schedules.push(batch.schedule);
+        batch.outcomes
+    }
+
+    /// The run's output, with the pipeline's counters read under
+    /// `transport`'s name. Bus runs add their bus stats afterwards.
+    pub(crate) fn into_output(self, pipeline: &EvalPipeline<'_>, transport: &str) -> RunOutput {
+        let fault_stats = FaultStats::from_records(&self.records);
+        RunOutput {
+            commons: DataCommons::new(self.records),
+            schedule: GenerationSchedule {
+                generations: self.schedules,
+            },
+            config: pipeline.config().clone(),
+            engine_seconds: self.engine_seconds,
+            engine_interactions: self.engine_interactions,
+            bus_stats: None,
+            transport_stats: pipeline.transport_stats(transport),
+            fault_stats,
+            retry_ledger: self.retry_ledger,
+            metrics: pipeline.metrics_registry().snapshot(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -760,7 +631,14 @@ mod tests {
     fn run_bus(engine: bool, gpus: usize, seed: u64) -> RunOutput {
         let config = small_config(engine, gpus, seed);
         let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-        A4nnWorkflow::new(config).run_with(&factory, Orchestration::Bus)
+        A4nnWorkflow::new(config)
+            .try_run_resilient(
+                &factory,
+                None,
+                Orchestration::Bus,
+                &FaultTolerance::default(),
+            )
+            .unwrap()
     }
 
     #[test]
@@ -912,7 +790,14 @@ mod tests {
             c
         };
         let factory3 = SurrogateFactory::new(&config3, SurrogateParams::for_beam(config3.beam));
-        let bus = A4nnWorkflow::new(config3).run_with(&factory3, Orchestration::Bus);
+        let bus = A4nnWorkflow::new(config3)
+            .try_run_resilient(
+                &factory3,
+                None,
+                Orchestration::Bus,
+                &FaultTolerance::default(),
+            )
+            .unwrap();
         assert_eq!(out.commons, bus.commons);
     }
 

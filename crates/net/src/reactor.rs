@@ -586,7 +586,8 @@ fn flush_outbound(
 ) -> Option<CloseReason> {
     let conn = conns.get_mut(&token.0)?;
     if !write_ready && conn.outq.is_empty() {
-        return None;
+        // Nothing to write: a pending close has nothing left to flush.
+        return conn.closing.then_some(CloseReason::Requested);
     }
     match conn.outq.flush_into(&mut conn.stream) {
         Ok(true) if conn.closing => Some(CloseReason::Requested),

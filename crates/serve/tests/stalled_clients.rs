@@ -1,6 +1,7 @@
 //! Idle-deadline enforcement, in both I/O modes: a client that stalls
 //! mid-frame is disconnected at the idle deadline, and while it stalls
-//! it never blocks service to healthy connections.
+//! it never blocks service to healthy connections. A client that says
+//! `Goodbye` is closed at once, not at the deadline.
 //!
 //! The stalled client sends *half* a frame and then goes silent — the
 //! worst case for a server, because the connection is mid-parse: a
@@ -8,9 +9,10 @@
 //! would keep the registration alive with no way to make progress.
 
 use a4nn_core::prelude::*;
-use a4nn_net::encode;
+use a4nn_net::{encode, read_message, write_message, PROTOCOL_VERSION};
 use a4nn_serve::{
-    BatcherConfig, IoMode, ModelRepo, ServeClient, ServeConfig, ServeRequest, ServeServer,
+    BatcherConfig, IoMode, ModelRepo, ServeClient, ServeConfig, ServeRequest, ServeResponse,
+    ServeServer,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -128,4 +130,67 @@ fn reactor_reaps_stalled_clients_without_blocking_others() {
 #[test]
 fn threads_reap_stalled_clients_without_blocking_others() {
     stalled_client_is_reaped_without_blocking_others(IoMode::Threads);
+}
+
+/// A session that says `Goodbye` after its handshake reply has been
+/// flushed (so nothing is left queued) reads EOF promptly, far inside a
+/// 30 s idle deadline.
+fn goodbye_closes_the_session_promptly(io: IoMode) {
+    let cfg = ServeConfig {
+        batcher: BatcherConfig::default(),
+        io,
+        idle_timeout: Duration::from_secs(30),
+        ..ServeConfig::default()
+    };
+    let handle = ServeServer::spawn(
+        "127.0.0.1:0",
+        repo(),
+        cfg,
+        Arc::new(MetricsRegistry::new()),
+        1,
+    )
+    .expect("spawning the in-process serve endpoint");
+    let mut stream = TcpStream::connect(handle.addr()).expect("client connects");
+    write_message(
+        &mut stream,
+        &ServeRequest::Hello {
+            version: PROTOCOL_VERSION,
+        },
+    )
+    .expect("sending Hello");
+    let welcome = read_message::<_, ServeResponse>(&mut stream).expect("reading the handshake");
+    assert!(
+        matches!(welcome, Some(ServeResponse::Welcome { .. })),
+        "--io {}: expected Welcome, got {welcome:?}",
+        io.as_str()
+    );
+    write_message(&mut stream, &ServeRequest::Goodbye).expect("sending Goodbye");
+
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("setting the probe timeout");
+    let started = Instant::now();
+    let mut probe = [0u8; 16];
+    let n = stream
+        .read(&mut probe)
+        .expect("the server closes a Goodbye'd session rather than leaving it open");
+    assert_eq!(n, 0, "--io {}: expected EOF after Goodbye", io.as_str());
+    let closed_after = started.elapsed();
+    assert!(
+        closed_after < Duration::from_secs(2),
+        "--io {}: the Goodbye'd session stayed open for {closed_after:?}",
+        io.as_str()
+    );
+    handle.join().expect("server drains its session budget");
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+fn reactor_closes_a_goodbye_session_promptly() {
+    goodbye_closes_the_session_promptly(IoMode::Reactor);
+}
+
+#[test]
+fn threads_close_a_goodbye_session_promptly() {
+    goodbye_closes_the_session_promptly(IoMode::Threads);
 }

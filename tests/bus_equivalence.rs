@@ -21,7 +21,9 @@ fn run(seed: u64, engine: bool, orchestration: Orchestration) -> RunOutput {
         objectives: a4nn_core::ObjectiveSet::default(),
     };
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
-    A4nnWorkflow::new(config).run_with(&factory, orchestration)
+    A4nnWorkflow::new(config)
+        .try_run_resilient(&factory, None, orchestration, &FaultTolerance::default())
+        .unwrap()
 }
 
 #[test]

@@ -82,7 +82,9 @@ fn zero_fault_run(orchestration: Orchestration) -> RunOutput {
     let config = WorkflowConfig::a4nn(BeamIntensity::Medium, 4, 2023);
     let factory = SurrogateFactory::new(&config, SurrogateParams::for_beam(config.beam));
     let ft = FaultTolerance::new(RetryPolicy::with_retries(0), FaultPlan::none());
-    A4nnWorkflow::new(config).run_resilient(&factory, None, orchestration, &ft)
+    A4nnWorkflow::new(config)
+        .try_run_resilient(&factory, None, orchestration, &ft)
+        .unwrap()
 }
 
 #[test]
@@ -129,7 +131,9 @@ fn row_format_survives_a_failed_model() {
             failures: 99,
         }]),
     );
-    let out = A4nnWorkflow::new(config).run_resilient(&factory, None, Orchestration::Direct, &ft);
+    let out = A4nnWorkflow::new(config)
+        .try_run_resilient(&factory, None, Orchestration::Direct, &ft)
+        .unwrap();
     let models = models_csv(&out.commons);
     let row = models
         .lines()

@@ -123,7 +123,14 @@ fn checkpointed_workflow_records_every_epoch_state() {
         TrainingHyperparams::default(),
     );
     let store = CheckpointStore::new();
-    let out = A4nnWorkflow::new(config).run_checkpointed(&factory, Some(&store));
+    let out = A4nnWorkflow::new(config)
+        .try_run_resilient(
+            &factory,
+            Some(&store),
+            Orchestration::Direct,
+            &FaultTolerance::default(),
+        )
+        .unwrap();
     // 4 models x 3 epochs, all checkpointed.
     assert_eq!(out.commons.len(), 4);
     assert_eq!(store.len(), 12);
